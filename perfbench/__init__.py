@@ -1,0 +1,1 @@
+"""SHIELD benchmark package (see run.py and README.md)."""
